@@ -7,7 +7,7 @@ validation logic is tested in one place.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,6 +15,7 @@ __all__ = [
     "ensure_epsilon",
     "ensure_positive_int",
     "ensure_probability",
+    "ensure_report_batch",
     "ensure_stream",
     "ensure_stream_matrix",
     "ensure_in_unit_interval",
@@ -62,6 +63,27 @@ def ensure_probability(value: float, name: str) -> float:
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {prob}")
     return prob
+
+
+def ensure_report_batch(user_ids: np.ndarray, values: np.ndarray, t: int) -> Tuple[int, int]:
+    """Validate one slot's non-empty, aligned 1-D report arrays.
+
+    Ids must be non-negative integers, distinct within the batch; values
+    finite.  O(n) for the strictly increasing ids every engine emits;
+    only other orders pay for ``np.unique``.  Returns the ``(lo, hi)`` id
+    bounds.  Raises ``TypeError`` for non-integer ids, else ``ValueError``.
+    """
+    if not np.issubdtype(user_ids.dtype, np.integer):
+        raise TypeError(f"user_ids must be integers, got dtype {user_ids.dtype}")
+    increasing = bool((user_ids[1:] > user_ids[:-1]).all())
+    lo, hi = (user_ids[0], user_ids[-1]) if increasing else (user_ids.min(), user_ids.max())
+    if lo < 0:
+        raise ValueError(f"user_id must be non-negative, got {lo}")
+    if not np.isfinite(values).all():
+        raise ValueError("report values must be finite")
+    if not increasing and np.unique(user_ids).size != user_ids.size:
+        raise ValueError(f"duplicate user ids in batch at t={t}")
+    return int(lo), int(hi)
 
 
 def ensure_stream(values: Sequence[float], name: str = "values") -> np.ndarray:

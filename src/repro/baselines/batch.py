@@ -142,8 +142,10 @@ class _VariableSpendEngine(BatchOnlinePerturber):
             missing = np.unique(budgets[miss])
             start = self._const_n
             if start + missing.size > _CONST_CACHE_LIMIT:
+                # Evict, then rebuild from every budget: hits lose their rows too.
                 keys = np.empty(0)
                 self._const_kidx = np.empty(0, dtype=np.intp)
+                missing = np.unique(budgets)
                 start = 0
             buf = self._const_buf
             while start + missing.size > buf.shape[0]:

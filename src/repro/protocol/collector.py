@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .._validation import ensure_epsilon, ensure_positive_int
+from .._validation import ensure_epsilon, ensure_positive_int, ensure_report_batch
 from ..adversary.policies import RobustPolicy, make_policy
 from ..core.online import OnlineSmoother
 from ..core.smoothing import simple_moving_average
@@ -108,9 +108,10 @@ class CollectorShardState:
             counts[group] = counts.get(group, 0) + 1
 
     def add_slot_batch(
-        self, t: int, ids: "list[int]", values: np.ndarray, group: int = 0
+        self, t: int, ids: "Optional[list[int]]", values: np.ndarray, group: int = 0
     ) -> None:
-        """Fold one slot's reports in (inputs already validated).
+        """Fold one slot's reports in (inputs already validated; ``ids``
+        is read only when tracking users).
 
         ``group`` labels the batch's shard group for the
         ``median-of-means`` policy; every execution mode passes the
@@ -406,6 +407,11 @@ class Collector:
         corresponding reports one by one (duplicates rejected, same
         aggregates), but without per-report object construction.
 
+        Content is checked by :func:`~repro._validation.ensure_report_batch`,
+        the O(n) check the pipeline also runs at its edge; duplicates of
+        earlier batches are caught only with ``track_users`` (the only
+        per-id Python work).
+
         Args:
             t: the time slot every value belongs to.
             user_ids: ``(k,)`` non-negative, distinct user ids.
@@ -426,19 +432,11 @@ class Collector:
             )
         if ids.size == 0:
             return
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError(f"user_ids must be integers, got dtype {ids.dtype}")
-        if ids.min() < 0:
-            raise ValueError(f"user_id must be non-negative, got {ids.min()}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("report values must be finite")
-        id_list = ids.tolist()
-        if len(set(id_list)) != len(id_list):
-            raise ValueError(f"duplicate user ids in batch at t={t}")
-        # Validate against history before mutating anything, so a rejected
-        # batch leaves the collector untouched.  (Cross-batch duplicate
-        # detection needs the per-user dict, hence track_users only.)
-        for uid in id_list:
+        ensure_report_batch(ids, vals, t)
+        # Check history before mutating anything, so a rejected batch
+        # leaves the collector untouched (the history is the per-user dict).
+        id_list = ids.tolist() if self._state.track_users else None
+        for uid in id_list or ():
             if self._state.has_report(uid, t):
                 raise ValueError(f"duplicate report for user {uid} at t={t}")
         self._state.add_slot_batch(t, id_list, vals, group=int(group))

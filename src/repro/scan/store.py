@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .cells import TIMING_SCALARS, CellResult
+from .cells import CellResult
 
 __all__ = ["ScanStore", "StoreError", "parquet_available"]
 
@@ -359,13 +359,3 @@ class ScanStore:
         value = self._manifest.get("n_cells")
         return None if value is None else int(value)
 
-
-def _scalar_columns(columns: Dict[str, np.ndarray]) -> List[str]:
-    """Names of the numeric metric columns (timing ones included)."""
-    skip = {"index", *PARAM_COLUMNS, "ledger"}
-    return [name for name in columns if name not in skip]
-
-
-# re-export for reporting convenience
-SCALAR_SKIP = {"index", *PARAM_COLUMNS, "ledger"}
-TIMING_COLUMNS = set(TIMING_SCALARS)

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._validation import ensure_positive_int
+from .._validation import ensure_positive_int, ensure_report_batch
 from ..analysis.streaming_queries import StreamingQueryEngine
 from ..protocol.collector import Collector
 from .events import EVENT_LOG_FORMAT, ReportBatch, SlotEstimate
@@ -177,6 +177,7 @@ class IngestionPipeline:
         self._dashboards: Dict[str, StreamingQueryEngine] = {}
         self._sinks: List[Sink] = []
         self._pending: Dict[int, Dict[int, ReportBatch]] = {}
+        self._id_ranges: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self.pending_high_watermark = 0
         self._first_seen: Dict[int, float] = {}
         self._latencies: List[float] = []
@@ -464,6 +465,9 @@ class IngestionPipeline:
         ``(slot, shard)`` pair must arrive exactly once, and a batch for
         an already-finalized slot is an error (the barrier guarantees
         ingestion order, so late arrivals would silently change results).
+        Content is checked here, before the WAL append (ids, values, and
+        an id range disjoint from other shards' pending batches for the
+        slot); a refused batch leaves barrier and log untouched.
 
         Returns the slots this batch finalized (usually zero or one; more
         when this batch was the laggard holding several slots open).
@@ -472,48 +476,51 @@ class IngestionPipeline:
             raise RuntimeError("pipeline already finished; create a new one")
         if not isinstance(batch, ReportBatch):
             raise TypeError(f"expected a ReportBatch, got {type(batch).__name__}")
-        if batch.t >= self.horizon:
+        t, shard = batch.t, batch.shard
+        if t >= self.horizon:
+            raise ValueError(f"batch for slot {t} is beyond the run horizon {self.horizon}")
+        if shard >= self.n_shards:
             raise ValueError(
-                f"batch for slot {batch.t} is beyond the run horizon "
-                f"{self.horizon}"
+                f"batch from shard {shard} but the pipeline serves {self.n_shards} shards"
             )
-        if batch.shard >= self.n_shards:
+        if t < self._next_slot:
             raise ValueError(
-                f"batch from shard {batch.shard} but the pipeline serves "
-                f"{self.n_shards} shards"
+                f"batch from shard {shard} for slot {t} arrived after the slot "
+                f"finalized (clock is at {self._next_slot})"
             )
-        if batch.t < self._next_slot:
-            raise ValueError(
-                f"batch from shard {batch.shard} for slot {batch.t} arrived "
-                f"after the slot finalized (clock is at {self._next_slot})"
-            )
-        waiting = self._pending.setdefault(batch.t, {})
-        if batch.shard in waiting:
-            raise ValueError(
-                f"duplicate batch from shard {batch.shard} for slot {batch.t}"
-            )
+        if shard in self._pending.get(t, ()):
+            raise ValueError(f"duplicate batch from shard {shard} for slot {t}")
+        id_range = None
+        if batch.n_reports:
+            lo, hi = id_range = ensure_report_batch(batch.user_ids, batch.values, t)
+            for other, (other_lo, other_hi) in self._id_ranges.get(t, {}).items():
+                if lo <= other_hi and other_lo <= hi:
+                    raise ValueError(
+                        f"slot {t}: shard {shard}'s user ids [{lo}, {hi}] overlap shard "
+                        f"{other}'s [{other_lo}, {other_hi}]; no id range may span more "
+                        "than one shard (shard feeds must cover disjoint user ranges)"
+                    )
         if self._wal is not None:
             # Append, buffer, and finalize under the log's lock: a
             # concurrent compaction snapshot must see this batch either
             # pending or finalized — never appended-but-unbuffered,
             # which would let it delete the batch's only copy.
             with self._wal.exclusive():
-                return self._admit(batch, waiting)
-        return self._admit(batch, waiting)
+                return self._admit(batch, id_range)
+        return self._admit(batch, id_range)
 
-    def _admit(
-        self, batch: ReportBatch, waiting: Dict[int, ReportBatch]
-    ) -> List[SlotEstimate]:
+    def _admit(self, batch: ReportBatch, id_range: Optional[Tuple[int, int]]) -> List[SlotEstimate]:
         """Log, buffer, and finalize one fully validated batch."""
         if self._wal is not None:
             # Write-ahead: the batch is durable before it is buffered, so
-            # it is durable before any ack can reach the client.  All
-            # validation already passed — the log never holds a batch the
-            # barrier would refuse on replay.
+            # it is durable before any ack can reach the client.  submit
+            # ran every check, content included: replay refuses no batch.
             self._wal.append_batch(batch)
         if batch.t not in self._first_seen:
             self._first_seen[batch.t] = time.perf_counter()
-        waiting[batch.shard] = batch
+        self._pending.setdefault(batch.t, {})[batch.shard] = batch
+        if id_range is not None:
+            self._id_ranges.setdefault(batch.t, {})[batch.shard] = id_range
         buffered = sum(len(shards) for shards in self._pending.values())
         self.pending_high_watermark = max(self.pending_high_watermark, buffered)
         if self.record_batches:
@@ -525,22 +532,10 @@ class IngestionPipeline:
         return finalized
 
     def _finalize(self, t: int) -> SlotEstimate:
-        """Ingest slot ``t``'s batches in shard order and publish it."""
+        """Ingest slot ``t``'s batches in shard order and publish it
+        (:meth:`submit` validated them, overlapping id ranges included)."""
         waiting = self._pending.pop(t)
-        occupied = [batch for batch in waiting.values() if batch.n_reports]
-        if len(occupied) > 1:
-            # Cross-shard duplicate guard: the collector's own cross-batch
-            # check needs track_users (off at serving scale), but the
-            # barrier holds the whole slot, so one uniqueness pass catches
-            # a user id claimed by two shards (misconfigured feeds, a
-            # damaged event log) before anything is ingested.
-            ids = np.concatenate([batch.user_ids for batch in occupied])
-            if np.unique(ids).size != ids.size:
-                raise ValueError(
-                    f"slot {t}: the same user id appears in batches from "
-                    "more than one shard — shard feeds must cover "
-                    "disjoint user ranges"
-                )
+        self._id_ranges.pop(t, None)
         for shard in sorted(waiting):
             batch = waiting[shard]
             if batch.n_reports:

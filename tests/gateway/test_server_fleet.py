@@ -328,6 +328,94 @@ class TestServerValidation:
         assert issubclass(WireError, ValueError)
 
 
+class TestContentRefusedBeforeWal:
+    """A batch the barrier would refuse is refused at its own upload:
+    only the sender gets ``ERROR``, the write-ahead log never holds it,
+    the other shards finish, and the log recovers cleanly."""
+
+    FAULTS = {
+        "nan": "must be finite",
+        "negative-id": "non-negative",
+        "overlap": "disjoint user ranges",
+    }
+
+    @staticmethod
+    def _corrupt(batch, fault, peer_id):
+        ids, values = batch.user_ids.copy(), batch.values.copy()
+        if fault == "nan":
+            values[-1] = np.nan
+        elif fault == "negative-id":
+            ids[0] = -1
+        else:  # an id of shard 1: legal alone, overlapping at the slot
+            ids[-1] = peer_id
+        return ReportBatch(shard=batch.shard, t=batch.t, user_ids=ids, values=values)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_only_the_sender_fails_and_the_log_recovers(self, tmp_path, offline, fault):
+        from repro.wal import WriteAheadLog, recover_pipeline
+
+        feeds = shard_feeds(_source(), **PARAMS)
+        batches = {feed.shard: list(feed) for feed in feeds}
+        assert batches[0][0].n_reports and batches[1][0].n_reports
+        bad = self._corrupt(batches[0][0], fault, batches[1][0].user_ids[-1])
+        wal_dir = str(tmp_path / "wal")
+        n_shards = len(feeds)
+
+        async def first_server():
+            pipeline = IngestionPipeline(
+                n_shards=n_shards,
+                horizon=HORIZON,
+                epsilon=1.2,
+                w=6,
+                max_slot_skew=HORIZON + 1,  # no sheds: shards 1.. upload it all
+            )
+            wal = pipeline.attach_wal(WriteAheadLog(wal_dir))
+            server = GatewayServer(pipeline)
+            await server.start()
+            try:
+                for shard in range(1, n_shards):
+                    client = GatewayClient("127.0.0.1", server.port, shard)
+                    await client.connect()
+                    for batch in batches[shard]:
+                        assert await client.send_batch(batch) == "accepted"
+                    await client.finish()
+                appended = wal.batches_appended
+                sender = GatewayClient("127.0.0.1", server.port, 0)
+                await sender.connect()
+                with pytest.raises(GatewayError, match=self.FAULTS[fault]):
+                    await sender.send_batch(bad)
+                await sender.close()
+                assert wal.batches_appended == appended == (n_shards - 1) * HORIZON
+                assert server.metrics.protocol_errors == 1
+                assert not pipeline.has_batch(0, 0)
+                assert len(pipeline.pending_batches()) == appended
+            finally:
+                await server.crash()
+
+        async def recovered_server(recovery):
+            pipeline = recovery.pipeline
+            pipeline.attach_wal(WriteAheadLog(wal_dir))
+            server = GatewayServer(pipeline, next_expected=recovery.next_expected)
+            await server.start()
+            try:
+                client = GatewayClient("127.0.0.1", server.port, 0)
+                assert await client.connect() == 0
+                for batch in batches[0]:
+                    assert await client.send_batch(batch) == "accepted"
+                await client.finish()
+                await server.wait_complete(timeout=30)
+                return server.result()
+            finally:
+                await server.stop()
+                pipeline.wal.close()
+
+        asyncio.run(first_server())
+        recovery = recover_pipeline(wal_dir)
+        assert recovery.replayed_batches == (n_shards - 1) * HORIZON
+        assert recovery.next_expected == [0] + [HORIZON] * (n_shards - 1)
+        _assert_matches_offline(asyncio.run(recovered_server(recovery)), offline)
+
+
 def server_counts(pipeline):
     """Buffered batch count per slot (barrier introspection for tests)."""
     return {t: len(shards) for t, shards in pipeline._pending.items()}

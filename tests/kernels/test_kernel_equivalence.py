@@ -307,3 +307,43 @@ class TestConstantsCache:
         assert engine._const_n == np.unique(budgets).size
         resampled = engine._constants_rows(budgets[::-1])
         np.testing.assert_array_equal(rows[::-1], resampled)
+
+    def test_eviction_returns_each_budgets_own_row(self, monkeypatch):
+        """Crossing the cache cap evicts; budgets that hit before the
+        eviction must get fresh rows too — never an out-of-range index
+        and never a neighbouring budget's row."""
+        from repro.baselines import batch
+
+        monkeypatch.setattr(batch, "_CONST_CACHE_LIMIT", 8)
+        engine = _engine(0)
+        rng = np.random.default_rng(5)
+        pool = rng.random(40) * 2.0 + 0.005
+        engine._constants_rows(pool[:6])
+        evictions = 0
+        for k in range(8):
+            # Old hits mixed with new misses, shuffled, with duplicates.
+            budgets = np.concatenate([pool[k : k + 3], pool[6 + 4 * k : 10 + 4 * k]])
+            budgets = rng.permutation(np.concatenate([budgets, budgets[:2]]))
+            rows = engine._constants_rows(budgets)
+            # A rebuilt cache holds exactly this call's budgets (the
+            # previous call's misses are not among them).
+            evictions += engine._const_keys.size == np.unique(budgets).size
+            for row, eps in zip(rows, budgets.tolist()):
+                np.testing.assert_array_equal(row, _sw_constants(eps))
+            assert engine._const_n <= 8
+        assert evictions >= 4  # the cap really was crossed, repeatedly
+
+    def test_eviction_leaves_population_runs_bit_identical(self, monkeypatch):
+        from repro.baselines import batch
+        from repro.runtime import MatrixSource, run_protocol_sharded
+
+        matrix = np.random.default_rng(2).random((300, 24))
+
+        def run():
+            source = MatrixSource(matrix, chunk_size=150)
+            result = run_protocol_sharded(source, algorithm="bd-sw", seed=3)
+            return result.collector.population_mean_series()
+
+        reference = run()
+        monkeypatch.setattr(batch, "_CONST_CACHE_LIMIT", 64)
+        np.testing.assert_array_equal(run(), reference)

@@ -103,10 +103,15 @@ class TestBatchIngest:
         assert collector.n_reports == 0
         assert collector.slots() == []
 
-    def test_duplicate_within_batch_rejected(self):
-        collector = Collector()
+    @pytest.mark.parametrize("track_users", [True, False])
+    @pytest.mark.parametrize("ids", [[1, 1], [1, 2, 2, 3], [3, 1, 3]])
+    def test_duplicate_within_batch_rejected(self, ids, track_users):
+        """Sorted-with-repeats and unsorted input both reach the
+        np.unique fallback; either way nothing is ingested."""
+        collector = Collector(track_users=track_users)
         with pytest.raises(ValueError, match="duplicate user ids"):
-            collector.ingest_batch(0, np.array([1, 1]), np.array([0.1, 0.2]))
+            collector.ingest_batch(0, np.array(ids), np.full(len(ids), 0.5))
+        assert collector.n_reports == 0
 
     def test_duplicate_against_history_rejected_atomically(self):
         collector = Collector()
@@ -117,6 +122,41 @@ class TestBatchIngest:
         assert collector.n_reports == 1
         with pytest.raises(KeyError):
             collector.user_series(1)
+
+    def test_unsorted_unique_batch_accepted(self):
+        """Engines emit increasing ids; any other order takes the
+        np.unique fallback and is accepted exactly the same."""
+        ids, values = np.array([7, 2, 9, 0]), np.array([0.1, 0.2, 0.3, 0.4])
+        unsorted = Collector()
+        unsorted.ingest_batch(0, ids, values)
+        order = np.argsort(ids)
+        ordered = Collector()
+        ordered.ingest_batch(0, ids[order], values[order])
+        assert unsorted.n_reports == 4
+        for uid in ids.tolist():
+            assert unsorted.user_series(uid) == ordered.user_series(uid)
+
+    def test_tracked_cross_batch_duplicate_rejected_atomically(self):
+        collector = Collector(track_users=True)
+        collector.ingest_batch(0, np.array([4, 5, 6]), np.array([0.1, 0.2, 0.3]))
+        before = (collector.n_reports, dict(collector.state.slot_sums))
+        with pytest.raises(ValueError, match="duplicate report for user 6"):
+            collector.ingest_batch(0, np.array([1, 6, 8]), np.array([0.4, 0.5, 0.6]))
+        assert (collector.n_reports, dict(collector.state.slot_sums)) == before
+        with pytest.raises(KeyError):
+            collector.user_series(1)
+
+    def test_untracked_ingest_makes_no_per_id_call(self, monkeypatch):
+        from repro.protocol.collector import CollectorShardState
+
+        def per_id(*args):
+            raise AssertionError("per-id history lookup without track_users")
+
+        monkeypatch.setattr(CollectorShardState, "has_report", per_id)
+        collector = Collector(track_users=False)
+        collector.ingest_batch(0, np.arange(50), np.full(50, 0.5))
+        collector.ingest_batch(1, np.array([9, 3]), np.array([0.1, 0.2]))
+        assert collector.n_reports == 52
 
     def test_validation(self):
         collector = Collector()

@@ -332,6 +332,81 @@ class TestCrossShardDuplicates:
         assert finalized[0].n_reports == 2
 
 
+class TestEdgeValidation:
+    """Content is validated once, in submit, before anything is logged."""
+
+    def test_unsorted_unique_batch_accepted(self):
+        pipeline = IngestionPipeline(n_shards=2, horizon=1)
+        pipeline.submit(_batch(0, 0, [4, 1, 3], [0.1, 0.2, 0.3]))
+        finalized = pipeline.submit(_batch(1, 0, [9, 6], [0.4, 0.5]))
+        assert finalized[0].n_reports == 5
+
+    @pytest.mark.parametrize(
+        "ids, values, match",
+        [
+            ([1, 2, 2], [0.5] * 3, "duplicate user ids"),
+            ([3, 1, 3], [0.5] * 3, "duplicate user ids"),
+            ([0, 1], [0.5, np.nan], "finite"),
+            ([-1, 1], [0.5, 0.5], "non-negative"),
+        ],
+    )
+    def test_bad_content_rejected_at_submit(self, ids, values, match):
+        pipeline = IngestionPipeline(n_shards=2, horizon=1)
+        with pytest.raises(ValueError, match=match):
+            pipeline.submit(_batch(0, 0, ids, values))
+        assert pipeline.pending_batches() == []
+        assert not pipeline.has_batch(0, 0)
+
+    @pytest.mark.parametrize("ids", [[5], [0, 20], [11, 30], [10, 2]])
+    def test_overlapping_range_rejected_before_the_wal(self, tmp_path, ids):
+        from repro.wal import WriteAheadLog
+
+        pipeline = IngestionPipeline(n_shards=3, horizon=2)
+        wal = pipeline.attach_wal(WriteAheadLog(str(tmp_path)))
+        pipeline.start_run()
+        pipeline.submit(_batch(0, 0, [3, 7, 11], [0.1, 0.2, 0.3]))
+        pending, records = pipeline.pending_batches(), wal.records_appended
+        with pytest.raises(ValueError, match="disjoint user ranges"):
+            pipeline.submit(_batch(1, 0, ids, [0.5] * len(ids)))
+        assert pipeline.pending_batches() == pending
+        assert wal.records_appended == records
+        # The refused shard may still deliver a correct batch.
+        pipeline.submit(_batch(1, 0, [12, 30], [0.4, 0.6]))
+        finalized = pipeline.submit(_batch(2, 0))
+        assert finalized[0].n_reports == 5
+        wal.close()
+
+    def test_ranges_only_conflict_within_a_slot(self):
+        pipeline = IngestionPipeline(n_shards=2, horizon=2)
+        pipeline.submit(_batch(0, 1, [0, 9], [0.1, 0.2]))
+        pipeline.submit(_batch(1, 0, [0, 9], [0.3, 0.4]))
+        pipeline.submit(_batch(0, 0))
+        assert pipeline.submit(_batch(1, 1, [10], [0.5]))[0].n_reports == 3
+
+    def test_serving_hot_path_has_no_unique_or_per_id_call(self, offline, monkeypatch):
+        """Sorted shard feeds never reach np.unique, and without user
+        tracking no per-id history lookup runs."""
+        from repro.protocol.collector import CollectorShardState
+
+        feeds = shard_feeds(_source(), **PARAMS)
+        batches = [batch for feed in feeds for batch in feed]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the serving hot path")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        monkeypatch.setattr(CollectorShardState, "has_report", forbidden)
+        pipeline = IngestionPipeline(n_shards=len(feeds), horizon=HORIZON, epsilon=1.2, w=6)
+        for batch in batches:
+            pipeline.submit(batch)
+        assert pipeline.complete
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            pipeline.collector.population_mean_series(),
+            offline.collector.population_mean_series(),
+        )
+
+
 class TestSlotSkewBound:
     def test_stalled_shard_cannot_blow_up_the_barrier_buffer(self, offline):
         """With one producer stalling per slot, fast shards must be gated

@@ -9,6 +9,7 @@ from repro._validation import (
     ensure_in_unit_interval,
     ensure_positive_int,
     ensure_probability,
+    ensure_report_batch,
     ensure_rng,
     ensure_stream,
     ensure_window,
@@ -155,3 +156,39 @@ class TestEnsureWindow:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             ensure_window(0)
+
+
+class TestEnsureReportBatch:
+    @staticmethod
+    def _check(ids, values=None):
+        ids = np.asarray(ids)
+        values = np.full(ids.size, 0.5) if values is None else np.asarray(values)
+        return ensure_report_batch(ids, values, t=3)
+
+    def test_returns_bounds_of_increasing_ids(self):
+        assert self._check([2, 5, 11]) == (2, 11)
+        assert self._check([7]) == (7, 7)
+
+    def test_unsorted_unique_ids_take_the_fallback(self):
+        assert self._check([11, 2, 5]) == (2, 11)
+        assert self._check(np.array([4, 1], dtype=np.uint32)) == (1, 4)
+
+    @pytest.mark.parametrize("ids", [[1, 1], [1, 2, 2], [4, 2, 4]])
+    def test_duplicates_rejected(self, ids):
+        with pytest.raises(ValueError, match="duplicate user ids in batch at t=3"):
+            self._check(ids)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got -2"):
+            self._check([-2, 0, 1])
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            self._check([3, -1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            self._check([0, 1], [0.5, bad])
+
+    def test_float_ids_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            self._check([0.0, 1.0])
