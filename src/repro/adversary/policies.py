@@ -128,7 +128,10 @@ class RobustPolicy:
             k = int(float(self.trim) * values.size)
             if values.size - 2 * k < 1:
                 return float(np.median(values))
-            return float(values[k : values.size - k].mean())
+            kept = values[k : values.size - k]
+            # Clamped to the kept window: mean() can round one ulp past
+            # its extremes (three equal values can average below them).
+            return float(min(max(kept.mean(), kept[0]), kept[-1]))
         if self.kind == "median-of-means":
             sums = state.group_sums.get(t, {})
             counts = state.group_counts.get(t, {})

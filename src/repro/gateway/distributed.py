@@ -23,16 +23,18 @@ global shard upstream (count, exact float64 slot sum, and — only when
 the run keeps them — the raw values/user ids), closed by a
 ``SLOT_FINAL`` frame the root acknowledges.
 
-The root (:class:`RootAggregator` over a :class:`ShardStateAggregator`)
-is a second-level slot barrier: it buffers per-shard states until every
-global shard has delivered slot ``t``, then folds them in **ascending
-shard order** via :meth:`~repro.protocol.collector.CollectorShardState.
-merge_in_place`.  Because each state carries the worker-computed
-``float(segment.sum())`` bits (never recomputed at the root) and empty
-shard-slots are barrier markers that are never merged, the root's fold
-replays exactly the flat pipeline's operation sequence — float addition
-is non-associative, so this, not "merge per-worker aggregates", is what
-makes the tree bit-exact.
+The root (:class:`RootAggregator` over a :class:`ShardStateAggregator`,
+an :class:`~repro.service.pipeline.IngestionPipeline` fed per-shard
+states) runs the one slot barrier of every mode: it checks each state at
+the edge, buffers it until every global shard has delivered slot ``t``,
+then folds them in **ascending shard order** via :meth:`~repro.protocol.
+collector.CollectorShardState.merge_in_place`, feeding its dashboards
+and sinks.  Because each state carries the worker-computed
+``float(segment.sum())`` bits (verified, never recomputed at the root)
+and empty shard-slots are barrier markers that are never merged, the
+root's fold replays exactly the flat pipeline's operation sequence —
+float addition is non-associative, so this, not "merge per-worker
+aggregates", is what makes the tree bit-exact.
 
 Workers keep an outbox of encoded upstream frames per finalized slot
 until the root acknowledges it, so worker kills, reconnects, and
@@ -44,15 +46,16 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import multiprocessing
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..protocol.collector import Collector, CollectorShardState
+from .._validation import ensure_report_batch
 from ..adversary.policies import RobustPolicy, make_policy
+from ..protocol.collector import CollectorShardState
 from ..protocol.messages import ShardSlotState
 from ..service.events import ReportBatch, SlotEstimate
 from ..service.feeds import ShardFeed, shard_feeds
@@ -136,15 +139,14 @@ def worker_for_shard(topology: Sequence[WorkerSpec], shard: int) -> WorkerSpec:
 # -- root: pure aggregation barrier --------------------------------------
 
 
-class ShardStateAggregator:
-    """Second-level slot barrier folding per-shard states bit-exactly.
+class ShardStateAggregator(IngestionPipeline):
+    """The root's slot barrier: an :class:`~repro.service.pipeline.
+    IngestionPipeline` whose arrivals are per-shard wire states.
 
-    Transport-free core of the root: :meth:`submit` buffers one
-    :class:`~repro.protocol.messages.ShardSlotState` per (slot, global
-    shard), and once all ``n_shards`` states for the next slot are
-    present, folds them in ascending shard order — the same operation
-    sequence (and therefore the same float bits) as the flat pipeline's
-    :meth:`~repro.service.pipeline.IngestionPipeline._finalize`.
+    Transport-free core of the root.  Only the edge check (:meth:`submit`
+    of one :class:`~repro.protocol.messages.ShardSlotState` per slot and
+    global shard) and the fold (:meth:`_sub_state` merged in ascending
+    shard order, the flat pipeline's float operations) are its own.
     """
 
     def __init__(
@@ -158,115 +160,46 @@ class ShardStateAggregator:
         keep_reports: bool = True,
         robust_policy=None,
     ) -> None:
-        if n_shards < 1 or horizon < 1:
-            raise ValueError("n_shards and horizon must be positive")
-        self.n_shards = int(n_shards)
-        self.horizon = int(horizon)
-        self.epsilon = float(epsilon)
-        self.w = int(w)
-        self._policy: Optional[RobustPolicy] = make_policy(robust_policy)
-        self.collector = Collector(
-            epsilon_per_report=self.epsilon / self.w,
+        super().__init__(
+            n_shards,
+            horizon,
+            epsilon=epsilon,
+            w=w,
             smoothing_window=smoothing_window,
             track_users=track_users,
             keep_reports=keep_reports,
-            robust_policy=self._policy,
+            robust_policy=robust_policy,
         )
-        self.slot_estimates: List[SlotEstimate] = []
-        self._pending: Dict[int, Dict[int, ShardSlotState]] = {}
-        self._first_seen: Dict[int, float] = {}
-        self._latencies: List[float] = []
-        self._next_slot = 0
-        # Next slot expected from each global shard — the duplicate
-        # filter and the reconnect resume point, exactly like the
-        # gateway server's per-shard clock.
-        self._state_next: List[int] = [0] * self.n_shards
 
-    @property
-    def next_slot(self) -> int:
-        return self._next_slot
-
-    @property
-    def complete(self) -> bool:
-        return self._next_slot >= self.horizon
-
-    @property
-    def slot_latencies(self) -> List[float]:
-        return self._latencies
-
-    def resume_slot(self, shard_lo: int, shard_hi: int) -> int:
-        """Where a reconnecting worker should resume: the earliest slot
-        any shard in its range has not yet delivered."""
-        if not 0 <= shard_lo < shard_hi <= self.n_shards:
-            raise ValueError(
-                f"shard range [{shard_lo}, {shard_hi}) out of bounds for "
-                f"{self.n_shards} shards"
-            )
-        return min(self._state_next[shard_lo:shard_hi])
-
-    def has_state(self, t: int, shard: int) -> bool:
-        """Whether (slot, shard) was already delivered (duplicate test)."""
-        return t < self._state_next[shard]
-
-    def submit(self, state: ShardSlotState) -> Tuple[bool, List[SlotEstimate]]:
-        """Buffer one shard-slot state; finalize any slots it completes.
-
-        Returns ``(accepted, finalized)`` — ``accepted`` is False for an
-        idempotent duplicate resend.  Raises ``ValueError`` for
-        out-of-range shards/slots, out-of-order delivery, or a state
-        whose segments don't match the run's memory switches.
+    def submit(self, state: ShardSlotState) -> List[SlotEstimate]:
+        """Check one shard-slot state at the edge; finalize any slots it
+        completes.  Beyond the pipeline's slot and user-id checks, the
+        slot sum must be finite and, when values ship, exactly their
+        ``float(values.sum())`` bits; the segments the run needs must
+        ship, ``n_reports`` long.  Raises ``ValueError`` before buffering.
         """
-        shard, t = state.shard, state.t
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(
-                f"state from shard {shard} but this run aggregates "
-                f"shards 0..{self.n_shards - 1}"
-            )
-        if t >= self.horizon:
-            raise ValueError(
-                f"state for slot {t} is beyond the run horizon {self.horizon}"
-            )
-        if self.has_state(t, shard):
-            return False, []
-        expected = self._state_next[shard]
-        if t != expected:
-            raise ValueError(
-                f"shard {shard} delivered slot {t} but slot {expected} "
-                "is next — workers stream states in slot order"
-            )
-        if state.n_reports:
-            if self.collector.keep_reports and state.values is None:
-                raise ValueError(
-                    f"slot {t} shard {shard}: this run keeps reports but "
-                    "the state carries no values segment"
-                )
-            if self.collector.track_users and state.user_ids is None:
-                raise ValueError(
-                    f"slot {t} shard {shard}: this run tracks users but "
-                    "the state carries no user-id segment"
-                )
-        self._pending.setdefault(t, {})[shard] = state
-        self._first_seen.setdefault(t, time.perf_counter())
-        self._state_next[shard] = t + 1
-        finalized: List[SlotEstimate] = []
-        while len(self._pending.get(self._next_slot, ())) == self.n_shards:
-            finalized.append(self._finalize(self._next_slot))
-        return True, finalized
+        if not isinstance(state, ShardSlotState):
+            raise TypeError(f"expected a ShardSlotState, got {type(state).__name__}")
+        t, n, values, ids = state.t, state.n_reports, state.values, state.user_ids
+        track_users = self.collector.track_users
+        where = f"slot {t} shard {state.shard}"
+        if not math.isfinite(state.total):
+            raise ValueError(f"{where}: non-finite slot sum {state.total!r}")
+        if n and values is None and (self.collector.keep_reports or track_users or ids is not None):
+            raise ValueError(f"{where}: the state carries no values segment")
+        if n and ids is None and track_users:
+            raise ValueError(f"{where}: this run tracks users but the state carries no user-id segment")
+        if n and any(s is not None and s.shape != (n,) for s in (values, ids)):
+            raise ValueError(f"{where}: segments must hold {n} reports")
+        id_range = self._check_arrival(t, state.shard, ids if n else None, values)
+        # Sum an aligned copy, as the worker did: numpy sums an unaligned
+        # view through a buffer, in another order.
+        if n and values is not None and float(np.require(values, float, "A").sum()) != state.total:
+            raise ValueError(f"{where}: slot sum {state.total!r} is not the (finite) sum of its values")
+        return self._admit(state, id_range)
 
-    def _finalize(self, t: int) -> SlotEstimate:
-        """Merge slot ``t``'s states in shard order and publish it."""
-        waiting = self._pending.pop(t)
-        for shard in sorted(waiting):
-            state = waiting[shard]
-            if state.n_reports:
-                self.collector.merge_state(self._sub_state(state))
-        count = self.collector.state.slot_counts.get(t, 0)
-        mean = self.collector.population_mean(t) if count else None
-        estimate = SlotEstimate(t=t, n_reports=count, mean=mean, answers={})
-        self.slot_estimates.append(estimate)
-        self._latencies.append(time.perf_counter() - self._first_seen.pop(t))
-        self._next_slot = t + 1
-        return estimate
+    def _fold(self, state: ShardSlotState) -> None:
+        self.collector.merge_state(self._sub_state(state))
 
     def _sub_state(self, state: ShardSlotState) -> CollectorShardState:
         """Lift one wire state into a mergeable single-slot shard state.
@@ -277,6 +210,7 @@ class ShardStateAggregator:
         """
         track_users = self.collector.track_users
         keep_reports = self.collector.keep_reports
+        policy = self.collector.robust_policy
         slot_values: Dict[int, List[Any]] = {}
         by_user: Dict[int, Dict[int, float]] = {}
         segment = None
@@ -293,7 +227,7 @@ class ShardStateAggregator:
         # same grouping every other execution mode uses.
         group_sums: Dict[int, Dict[int, float]] = {}
         group_counts: Dict[int, Dict[int, int]] = {}
-        if self._policy is not None and self._policy.uses_groups and state.n_reports:
+        if policy is not None and policy.uses_groups and state.n_reports:
             group_sums = {state.t: {state.shard: state.total}}
             group_counts = {state.t: {state.shard: state.n_reports}}
         return CollectorShardState(
@@ -304,37 +238,9 @@ class ShardStateAggregator:
             slot_values=slot_values,
             by_user=by_user,
             n_reports=state.n_reports,
-            robust_policy=self._policy,
+            robust_policy=policy,
             group_sums=group_sums,
             group_counts=group_counts,
-        )
-
-    def finish(self) -> None:
-        if not self.complete:
-            t = self._next_slot
-            missing = sorted(
-                set(range(self.n_shards)) - set(self._pending.get(t, ()))
-            )
-            raise RuntimeError(
-                f"aggregation incomplete: slot {t} is still missing "
-                f"states from shards {missing}"
-            )
-
-    def build_result(
-        self, elapsed_seconds: float, feeds: Optional[List[ShardFeed]] = None
-    ) -> LiveRunResult:
-        """Package the completed aggregation as a standard run result."""
-        self.finish()
-        return LiveRunResult(
-            collector=self.collector,
-            slots=list(self.slot_estimates),
-            horizon=self.horizon,
-            n_shards=self.n_shards,
-            epsilon=self.epsilon,
-            w=self.w,
-            elapsed_seconds=elapsed_seconds,
-            slot_latencies=np.asarray(self._latencies, dtype=float),
-            feeds=feeds,
         )
 
 
@@ -350,7 +256,9 @@ class RootAggregator:
     the worker's final metrics snapshot (surfaced in
     :attr:`worker_metrics` for the aggregated ``--metrics-out``
     artifact).  Workers connect over plain TCP, so the topology is
-    multi-host-ready: nothing assumes fork or shared memory.
+    multi-host-ready: nothing assumes fork or shared memory.  As in
+    :class:`~repro.gateway.GatewayServer`, a per-shard clock enforces
+    in-order delivery and yields the resume slot; resends are duplicates.
     """
 
     def __init__(
@@ -367,6 +275,7 @@ class RootAggregator:
         self.max_payload_bytes = int(max_payload_bytes)
         self.metrics = metrics if metrics is not None else GatewayMetrics()
         self.worker_metrics: Dict[str, Dict[str, Any]] = {}
+        self._next_expected: List[int] = [0] * aggregator.n_shards
         self._server: Optional[asyncio.base_events.Server] = None
         self._handlers: "set[asyncio.Task]" = set()
         self._done = asyncio.Event()
@@ -383,6 +292,7 @@ class RootAggregator:
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self._requested_port
         )
+        self.aggregator.start_run()
 
     async def wait_complete(self, timeout: Optional[float] = None) -> None:
         if self.aggregator.complete:
@@ -402,9 +312,13 @@ class RootAggregator:
                 await asyncio.gather(*pending, return_exceptions=True)
 
     def result(self, feeds: Optional[List[ShardFeed]] = None) -> LiveRunResult:
+        """Package the completed aggregation (every slot must have finalized)."""
         self.metrics.mark_finished()
+        self.aggregator.finish()
         return self.aggregator.build_result(
-            self.metrics.elapsed_seconds, feeds=feeds
+            self.metrics.elapsed_seconds,
+            feeds=feeds,
+            extra={"gateway_metrics": self.metrics.snapshot()},
         )
 
     async def _send(self, writer: asyncio.StreamWriter, frame: bytes) -> None:
@@ -494,7 +408,7 @@ class RootAggregator:
             encode_control(
                 FrameType.WORKER_HELLO_ACK,
                 worker=worker_id,
-                resume_slot=agg.resume_slot(lo, hi),
+                resume_slot=min(self._next_expected[lo:hi]),
                 horizon=agg.horizon,
                 n_shards=agg.n_shards,
             ),
@@ -513,10 +427,18 @@ class RootAggregator:
                 f"connection registered shards [{lo}, {hi}) but delivered "
                 f"a state for shard {state.shard}"
             )
-        accepted, finalized = self.aggregator.submit(state)
-        if not accepted:
+        if self.aggregator.has_batch(state.t, state.shard):
+            # A resend after a reconnect: the barrier holds it already.
             self.metrics.duplicates += 1
             return
+        expected = self._next_expected[state.shard]
+        if state.t != expected:
+            raise ValueError(
+                f"shard {state.shard} delivered slot {state.t} but slot {expected} "
+                "is next — workers stream states in slot order"
+            )
+        finalized = self.aggregator.submit(state)
+        self._next_expected[state.shard] = state.t + 1
         self.metrics.batches_accepted += 1
         self.metrics.reports_accepted += state.n_reports
         if finalized:
@@ -540,7 +462,7 @@ class RootAggregator:
             t = int(fields["t"])
         except (KeyError, TypeError, ValueError):
             raise WireError("SLOT_FINAL must carry an integer 't' field") from None
-        missing = [s for s in range(lo, hi) if not self.aggregator.has_state(t, s)]
+        missing = [s for s in range(lo, hi) if not self.aggregator.has_batch(t, s)]
         if missing:
             raise WireError(
                 f"SLOT_FINAL for slot {t} but shards {missing} have not "

@@ -27,6 +27,8 @@ interrupt a scan at every possible boundary.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -74,6 +76,23 @@ class ScanRunResult:
         return len(self.executed) / self.elapsed_seconds
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A pool worker blocks on its call queue forever if the scan process
+    is SIGKILLed (no cleanup runs), so each worker watches for being
+    re-parented and exits on its own.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-scan-parent-watch", daemon=True).start()
+
+
 def run_cells(
     cells: Sequence[ScanCell],
     workers: int = 1,
@@ -115,7 +134,7 @@ def run_cells(
         return results, stopped
 
     try:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
     except (OSError, PermissionError, ValueError) as error:  # pragma: no cover
         warnings.warn(
             f"process pool unavailable ({error}); running cells serially",
@@ -211,8 +230,6 @@ def run_scan(
     resumed: List[int] = []
     reran: List[int] = []
     if store_path is not None:
-        import os
-
         if os.path.exists(os.path.join(str(store_path), "manifest.json")) and not resume:
             raise ValueError(
                 f"store {store_path} already holds a scan; pass resume=True "

@@ -178,6 +178,7 @@ class IngestionPipeline:
         self._sinks: List[Sink] = []
         self._pending: Dict[int, Dict[int, ReportBatch]] = {}
         self._id_ranges: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        self._buffered = 0
         self.pending_high_watermark = 0
         self._first_seen: Dict[int, float] = {}
         self._latencies: List[float] = []
@@ -472,14 +473,31 @@ class IngestionPipeline:
         Returns the slots this batch finalized (usually zero or one; more
         when this batch was the laggard holding several slots open).
         """
-        if self._finished:
-            raise RuntimeError("pipeline already finished; create a new one")
         if not isinstance(batch, ReportBatch):
             raise TypeError(f"expected a ReportBatch, got {type(batch).__name__}")
-        t, shard = batch.t, batch.shard
+        ids = batch.user_ids if batch.n_reports else None
+        id_range = self._check_arrival(batch.t, batch.shard, ids, batch.values)
+        if self._wal is not None:
+            # Append, buffer, and finalize under the log's lock: a
+            # concurrent compaction snapshot must see this batch either
+            # pending or finalized — never appended-but-unbuffered,
+            # which would let it delete the batch's only copy.
+            with self._wal.exclusive():
+                return self._admit(batch, id_range)
+        return self._admit(batch, id_range)
+
+    def _check_arrival(
+        self, t: int, shard: int, user_ids: Optional[np.ndarray] = None, values=None
+    ) -> Optional[Tuple[int, int]]:
+        """Admission checks shared by every ``submit``: a live run, an open
+        slot in the horizon, a known shard, no earlier ``(t, shard)``
+        arrival and, given ids, valid content whose id range (returned)
+        is disjoint from the other shards' pending for the slot."""
+        if self._finished:
+            raise RuntimeError("pipeline already finished; create a new one")
         if t >= self.horizon:
             raise ValueError(f"batch for slot {t} is beyond the run horizon {self.horizon}")
-        if shard >= self.n_shards:
+        if not 0 <= shard < self.n_shards:
             raise ValueError(
                 f"batch from shard {shard} but the pipeline serves {self.n_shards} shards"
             )
@@ -490,27 +508,20 @@ class IngestionPipeline:
             )
         if shard in self._pending.get(t, ()):
             raise ValueError(f"duplicate batch from shard {shard} for slot {t}")
-        id_range = None
-        if batch.n_reports:
-            lo, hi = id_range = ensure_report_batch(batch.user_ids, batch.values, t)
-            for other, (other_lo, other_hi) in self._id_ranges.get(t, {}).items():
-                if lo <= other_hi and other_lo <= hi:
-                    raise ValueError(
-                        f"slot {t}: shard {shard}'s user ids [{lo}, {hi}] overlap shard "
-                        f"{other}'s [{other_lo}, {other_hi}]; no id range may span more "
-                        "than one shard (shard feeds must cover disjoint user ranges)"
-                    )
-        if self._wal is not None:
-            # Append, buffer, and finalize under the log's lock: a
-            # concurrent compaction snapshot must see this batch either
-            # pending or finalized — never appended-but-unbuffered,
-            # which would let it delete the batch's only copy.
-            with self._wal.exclusive():
-                return self._admit(batch, id_range)
-        return self._admit(batch, id_range)
+        if user_ids is None:
+            return None
+        lo, hi = id_range = ensure_report_batch(user_ids, values, t)
+        for other, (other_lo, other_hi) in self._id_ranges.get(t, {}).items():
+            if lo <= other_hi and other_lo <= hi:
+                raise ValueError(
+                    f"slot {t}: shard {shard}'s user ids [{lo}, {hi}] overlap shard "
+                    f"{other}'s [{other_lo}, {other_hi}]; no id range may span more "
+                    "than one shard (shard feeds must cover disjoint user ranges)"
+                )
+        return id_range
 
-    def _admit(self, batch: ReportBatch, id_range: Optional[Tuple[int, int]]) -> List[SlotEstimate]:
-        """Log, buffer, and finalize one fully validated batch."""
+    def _admit(self, batch: Any, id_range: Optional[Tuple[int, int]]) -> List[SlotEstimate]:
+        """Log, buffer, and finalize one fully validated arrival."""
         if self._wal is not None:
             # Write-ahead: the batch is durable before it is buffered, so
             # it is durable before any ack can reach the client.  submit
@@ -521,8 +532,8 @@ class IngestionPipeline:
         self._pending.setdefault(batch.t, {})[batch.shard] = batch
         if id_range is not None:
             self._id_ranges.setdefault(batch.t, {})[batch.shard] = id_range
-        buffered = sum(len(shards) for shards in self._pending.values())
-        self.pending_high_watermark = max(self.pending_high_watermark, buffered)
+        self._buffered += 1
+        self.pending_high_watermark = max(self.pending_high_watermark, self._buffered)
         if self.record_batches:
             self._emit(batch.to_record())
 
@@ -531,20 +542,21 @@ class IngestionPipeline:
             finalized.append(self._finalize(self._next_slot))
         return finalized
 
+    def _fold(self, batch: ReportBatch) -> None:
+        """Fold one non-empty arrival.  The group label is the shard (=
+        global chunk) index, so a median-of-means fold groups exactly as
+        the offline sharded runtime does."""
+        self.collector.ingest_batch(batch.t, batch.user_ids, batch.values, group=batch.shard)
+
     def _finalize(self, t: int) -> SlotEstimate:
-        """Ingest slot ``t``'s batches in shard order and publish it
-        (:meth:`submit` validated them, overlapping id ranges included)."""
+        """Fold slot ``t``'s arrivals in shard order and publish it
+        (``submit`` validated them, overlapping id ranges included)."""
         waiting = self._pending.pop(t)
+        self._buffered -= len(waiting)
         self._id_ranges.pop(t, None)
         for shard in sorted(waiting):
-            batch = waiting[shard]
-            if batch.n_reports:
-                # The group label is the shard (= global chunk) index, so
-                # a median-of-means fold groups exactly as the offline
-                # sharded runtime does.
-                self.collector.ingest_batch(
-                    t, batch.user_ids, batch.values, group=shard
-                )
+            if waiting[shard].n_reports:
+                self._fold(waiting[shard])
         count = self.collector.state.slot_counts.get(t, 0)
         mean = self.collector.population_mean(t) if count else None
         answers: Dict[str, Dict[str, Any]] = {}

@@ -13,6 +13,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.streaming_queries import (
+    RollingExtrema,
+    RollingMean,
+    RollingTrend,
+    StreamingQueryEngine,
+    ThresholdAlert,
+)
 from repro.experiments.cli import main
 from repro.gateway import (
     GatewayWorker,
@@ -30,9 +37,16 @@ from repro.gateway import (
     worker_for_shard,
 )
 from repro.gateway.eventloop import LOOP_ENV_VAR
+from repro.gateway.wire import (
+    FrameType,
+    decode_control,
+    encode_control,
+    encode_shard_state_frame,
+    read_frame,
+)
 from repro.protocol.messages import ShardSlotState, encode_shard_state
 from repro.runtime import MatrixSource, run_protocol_sharded
-from repro.service import shard_feeds
+from repro.service import MemorySink, run_live, shard_feeds
 from repro.wal import WriteAheadLog
 
 N_USERS, HORIZON, CHUNK = 36, 9, 9  # four shards
@@ -83,47 +97,45 @@ class TestTopology:
             worker_for_shard(topology, 4)
 
 
+def _state(shard, t, values, ids=None, total=None):
+    segment = np.asarray(values, dtype=float)
+    return ShardSlotState(
+        shard=shard,
+        t=t,
+        n_reports=len(values),
+        total=float(segment.sum()) if total is None else total,
+        values=segment,
+        user_ids=None if ids is None else np.asarray(ids, dtype=np.int64),
+    )
+
+
 class TestAggregatorProtocol:
     def _agg(self, **kwargs):
         return ShardStateAggregator(2, 3, epsilon=1.0, w=3, **kwargs)
 
-    def _state(self, shard, t, values):
-        segment = np.asarray(values, dtype=float)
-        return ShardSlotState(
-            shard=shard,
-            t=t,
-            n_reports=len(values),
-            total=float(segment.sum()),
-            values=segment,
-        )
-
-    def test_duplicate_resend_is_idempotent(self):
-        agg = self._agg()
-        accepted, _ = agg.submit(self._state(0, 0, [0.5, 0.25]))
-        assert accepted
-        accepted, finalized = agg.submit(self._state(0, 0, [0.5, 0.25]))
-        assert not accepted and finalized == []
-        assert agg.collector.state.n_reports == 0  # nothing double-merged
-
     def test_slot_finalizes_once_all_shards_arrive(self):
         agg = self._agg()
-        _, finalized = agg.submit(self._state(0, 0, [0.5]))
-        assert finalized == []
-        _, finalized = agg.submit(self._state(1, 0, [0.75]))
+        assert agg.submit(_state(0, 0, [0.5])) == []
+        finalized = agg.submit(_state(1, 0, [0.75]))
         assert [e.t for e in finalized] == [0]
         assert agg.collector.state.slot_counts[0] == 2
 
-    def test_out_of_order_delivery_rejected(self):
+    def test_duplicate_submit_refused_without_double_merge(self):
         agg = self._agg()
-        with pytest.raises(ValueError, match="slot order"):
-            agg.submit(self._state(0, 1, [0.5]))
+        agg.submit(_state(0, 0, [0.5, 0.25]))
+        assert agg.has_batch(0, 0) and not agg.has_batch(0, 1)
+        with pytest.raises(ValueError, match="duplicate"):
+            agg.submit(_state(0, 0, [0.5, 0.25]))
+        assert agg.collector.state.n_reports == 0  # nothing merged yet
 
     def test_out_of_range_shard_and_slot_rejected(self):
         agg = self._agg()
         with pytest.raises(ValueError, match="shard"):
-            agg.submit(self._state(5, 0, [0.5]))
+            agg.submit(_state(5, 0, [0.5]))
         with pytest.raises(ValueError, match="horizon"):
-            agg.submit(self._state(0, 3, [0.5]))
+            agg.submit(_state(0, 3, [0.5]))
+        with pytest.raises(TypeError, match="ShardSlotState"):
+            agg.submit(object())
 
     def test_missing_values_segment_rejected_when_reports_kept(self):
         agg = self._agg(keep_reports=True)
@@ -131,13 +143,212 @@ class TestAggregatorProtocol:
         with pytest.raises(ValueError, match="values segment"):
             agg.submit(bare)
 
-    def test_resume_slot_is_earliest_missing_in_range(self):
+    def test_missing_id_segment_rejected_when_users_tracked(self):
+        agg = self._agg(track_users=True)
+        with pytest.raises(ValueError, match="user-id segment"):
+            agg.submit(_state(0, 0, [0.5]))
+
+
+class TestRootEdgeCheck:
+    """Bad state content is refused at ``submit``, before it is buffered."""
+
+    def _agg(self, **kwargs):
+        agg = ShardStateAggregator(2, 2, epsilon=1.0, w=2, **kwargs)
+        agg.submit(_state(0, 0, [0.25, 0.5], ids=[0, 1]))
+        return agg
+
+    def _assert_untouched(self, agg):
+        assert [(s.t, s.shard) for s in agg.pending_batches()] == [(0, 0)]
+        assert agg.collector.state.n_reports == 0
+        assert agg.next_slot == 0
+
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+    def test_non_finite_total_refused(self, total):
         agg = self._agg()
-        agg.submit(self._state(0, 0, [0.5]))
-        assert agg.resume_slot(0, 1) == 1
-        assert agg.resume_slot(0, 2) == 0  # shard 1 has delivered nothing
-        with pytest.raises(ValueError):
-            agg.resume_slot(1, 1)
+        bare = ShardSlotState(shard=1, t=0, n_reports=1, total=total)
+        with pytest.raises(ValueError, match="non-finite slot sum"):
+            agg.submit(bare)
+        with pytest.raises(ValueError, match="non-finite slot sum"):
+            agg.submit(_state(1, 0, [0.5], total=total))
+        self._assert_untouched(agg)
+
+    def test_total_that_is_not_the_sum_of_the_values_refused(self):
+        agg = self._agg()
+        with pytest.raises(ValueError, match="sum of its values"):
+            agg.submit(_state(1, 0, [0.1, 0.2], total=5.0))
+        self._assert_untouched(agg)
+        # The exact bits count: one ulp off is a different fold.
+        exact = float(np.array([0.1, 0.2]).sum())
+        with pytest.raises(ValueError, match="sum of its values"):
+            agg.submit(_state(1, 0, [0.1, 0.2], total=np.nextafter(exact, 1.0)))
+        self._assert_untouched(agg)
+
+    def test_non_finite_values_refused(self):
+        agg = self._agg(keep_reports=True)
+        with pytest.raises(ValueError, match="finite"):
+            agg.submit(_state(1, 0, [0.5, np.nan], total=0.5))
+        with pytest.raises(ValueError, match="finite"):
+            agg.submit(_state(1, 0, [0.5, np.inf], ids=[5, 6], total=np.inf))
+        self._assert_untouched(agg)
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [([1, 7], "overlap shard 0"), ([-3, 7], "non-negative"), ([7, 7], "duplicate")],
+    )
+    def test_bad_user_ids_refused_before_they_poison_the_fold(self, ids, match):
+        agg = self._agg(track_users=True)
+        with pytest.raises(ValueError, match=match):
+            agg.submit(_state(1, 0, [0.5, 0.75], ids=ids))
+        self._assert_untouched(agg)
+        # The honest resend still completes the slot.
+        finalized = agg.submit(_state(1, 0, [0.5, 0.75], ids=[2, 3]))
+        assert [e.t for e in finalized] == [0]
+        assert agg.collector.state.by_user[3] == {0: 0.75}
+
+    def test_segments_must_match_the_report_count(self):
+        agg = self._agg(keep_reports=False)
+        with pytest.raises(ValueError, match="hold 3 reports"):
+            agg.submit(
+                ShardSlotState(shard=1, t=0, n_reports=3, total=0.5, values=np.array([0.5]))
+            )
+        with pytest.raises(ValueError, match="no values segment"):
+            agg.submit(
+                ShardSlotState(shard=1, t=0, n_reports=1, total=0.5, user_ids=np.array([4]))
+            )
+        self._assert_untouched(agg)
+
+
+async def _worker_hello(port, lo, hi, worker=0):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(
+        encode_control(FrameType.WORKER_HELLO, worker=worker, shard_lo=lo, shard_hi=hi)
+    )
+    await writer.drain()
+    frame_type, payload = await read_frame(reader)
+    assert frame_type == FrameType.WORKER_HELLO_ACK
+    return reader, writer, decode_control(payload)
+
+
+async def _send_slot(reader, writer, states, t):
+    """Stream one slot's states plus SLOT_FINAL; return the reply frame."""
+    for state in states:
+        writer.write(encode_shard_state_frame(state))
+    writer.write(encode_control(FrameType.SLOT_FINAL, t=t))
+    await writer.drain()
+    frame_type, payload = await read_frame(reader)
+    return frame_type, decode_control(payload)
+
+
+async def _close(writer):
+    writer.close()
+    await writer.wait_closed()
+
+
+class TestRootProtocol:
+    """The root's per-shard clock, exercised over its TCP front."""
+
+    def _serve(self, drill, **kwargs):
+        async def _run():
+            root = RootAggregator(ShardStateAggregator(2, 3, epsilon=1.0, w=3, **kwargs))
+            await root.start()
+            try:
+                return await drill(root)
+            finally:
+                await root.stop()
+
+        return asyncio.run(_run())
+
+    def test_duplicate_resend_is_acked_idempotently(self):
+        async def drill(root):
+            reader, writer, _ = await _worker_hello(root.port, 0, 1)
+            state = _state(0, 0, [0.5, 0.25])
+            writer.write(encode_shard_state_frame(state))
+            frame_type, fields = await _send_slot(reader, writer, [state], 0)
+            await _close(writer)
+            assert frame_type == FrameType.STATE_ACK and fields["t"] == 0
+            assert root.metrics.duplicates == 1
+            assert root.metrics.batches_accepted == 1
+            assert len(root.aggregator.pending_batches()) == 1
+            assert root.aggregator.collector.state.n_reports == 0  # no double merge
+
+        self._serve(drill)
+
+    def test_out_of_order_delivery_answers_error(self):
+        async def drill(root):
+            reader, writer, _ = await _worker_hello(root.port, 0, 1)
+            frame_type, fields = await _send_slot(reader, writer, [_state(0, 1, [0.5])], 1)
+            await _close(writer)
+            assert frame_type == FrameType.ERROR
+            assert "slot order" in fields["message"]
+            assert root.aggregator.pending_batches() == []
+            assert root.metrics.protocol_errors == 1
+
+        self._serve(drill)
+
+    def test_hello_ack_resumes_at_earliest_missing_slot_in_range(self):
+        async def drill(root):
+            reader, writer, ack = await _worker_hello(root.port, 0, 1)
+            assert ack["resume_slot"] == 0
+            frame_type, _ = await _send_slot(reader, writer, [_state(0, 0, [0.5])], 0)
+            assert frame_type == FrameType.STATE_ACK
+            await _close(writer)
+            _, writer, ack = await _worker_hello(root.port, 0, 1)
+            assert ack["resume_slot"] == 1
+            await _close(writer)
+            _, writer, ack = await _worker_hello(root.port, 0, 2)
+            assert ack["resume_slot"] == 0  # shard 1 has delivered nothing
+            await _close(writer)
+            reader, writer = await asyncio.open_connection("127.0.0.1", root.port)
+            writer.write(encode_control(FrameType.WORKER_HELLO, worker=9, shard_lo=1, shard_hi=1))
+            await writer.drain()
+            frame_type, _ = await read_frame(reader)
+            await _close(writer)
+            assert frame_type == FrameType.ERROR  # empty range
+
+        self._serve(drill)
+
+    def test_bad_state_errors_only_its_worker_and_the_run_finishes(self):
+        """A poisoned state answers ERROR to its own worker; the root's
+        barrier and collector do not move and the honest worker finishes."""
+
+        async def drill(root):
+            agg = root.aggregator
+            good = [_state(0, t, [0.25, 0.5], ids=[0, 1]) for t in range(3)]
+            honest_r, honest_w, _ = await _worker_hello(root.port, 0, 1, worker=0)
+            assert (await _send_slot(honest_r, honest_w, good[:1], 0))[0] == FrameType.STATE_ACK
+            for bad in (
+                _state(1, 0, [0.5], ids=[5], total=np.nan),
+                _state(1, 0, [0.1, 0.2], ids=[5, 6], total=5.0),
+                _state(1, 0, [0.5, 0.75], ids=[1, 7]),  # shard 0 shipped id 1
+            ):
+                reader, writer, _ = await _worker_hello(root.port, 1, 2, worker=1)
+                frame_type, fields = await _send_slot(reader, writer, [bad], 0)
+                await _close(writer)
+                assert frame_type == FrameType.ERROR, fields
+                assert [(s.t, s.shard) for s in agg.pending_batches()] == [(0, 0)]
+                assert agg.collector.state.n_reports == 0 and agg.next_slot == 0
+            reader, writer, ack = await _worker_hello(root.port, 1, 2, worker=1)
+            assert ack["resume_slot"] == 0
+            for t in range(3):
+                frame_type, _ = await _send_slot(
+                    reader, writer, [_state(1, t, [0.75], ids=[2])], t
+                )
+                assert frame_type == FrameType.STATE_ACK
+                if t:
+                    frame_type, _ = await _send_slot(honest_r, honest_w, good[t : t + 1], t)
+                    assert frame_type == FrameType.STATE_ACK
+            for r, w in ((honest_r, honest_w), (reader, writer)):
+                w.write(encode_control(FrameType.FIN))
+                await w.drain()
+                assert (await read_frame(r))[0] == FrameType.FIN_ACK
+                await _close(w)
+            await root.wait_complete(timeout=10.0)
+            assert root.metrics.protocol_errors == 3
+            return root.result()
+
+        result = self._serve(drill, track_users=True)
+        assert [s.n_reports for s in result.slots] == [3, 3, 3]
+        assert result.collector.state.by_user[2] == {0: 0.75, 1: 0.75, 2: 0.75}
 
 
 class TestBitEquality:
@@ -179,6 +390,72 @@ class TestBitEquality:
     def test_result_passes_the_w_event_audit(self):
         run = run_distributed(_source(), workers=2, **PARAMS)
         run.result.assert_valid()
+
+
+def _dashboard():
+    engine = StreamingQueryEngine()
+    engine.register("mean", RollingMean(3))
+    engine.register("extrema", RollingExtrema(4))
+    engine.register("trend", RollingTrend(3))
+    engine.register("hot", ThresholdAlert(2, threshold=0.5))
+    return engine
+
+
+class TestRootDashboardsAndSinks:
+    def test_root_publishes_what_the_flat_pipeline_publishes(self):
+        """Dashboards and sinks registered on the root see exactly the
+        flat pipeline's slot estimates — means, counts and answers."""
+        flat_sink = MemorySink()
+        flat = run_live(
+            _source(), dashboards={"main": _dashboard()}, sinks=[flat_sink], **PARAMS
+        )
+        feeds = shard_feeds(_source(), **PARAMS)
+        aggregator = ShardStateAggregator(
+            len(feeds), HORIZON, epsilon=PARAMS["epsilon"], w=PARAMS["w"]
+        )
+        dashboard = aggregator.register_dashboard("main", _dashboard())
+        tree_sink = aggregator.add_sink(MemorySink())
+
+        async def _serve():
+            root = RootAggregator(aggregator)
+            await root.start()
+            fleet = []
+            try:
+                for i, (lo, hi) in enumerate(shard_ranges(len(feeds), 2)):
+                    wkr = GatewayWorker(
+                        worker=i,
+                        shard_lo=lo,
+                        shard_hi=hi,
+                        horizon=HORIZON,
+                        epsilon=PARAMS["epsilon"],
+                        w=PARAMS["w"],
+                        root_port=root.port,
+                    )
+                    await wkr.start()
+                    fleet.append(wkr)
+                topology = [
+                    WorkerSpec(i, wkr.shard_lo, wkr.shard_hi, port=wkr.server.port)
+                    for i, wkr in enumerate(fleet)
+                ]
+                await run_distributed_fleet_async(feeds, topology, seed=PARAMS["seed"])
+                for wkr in fleet:
+                    await wkr.wait_complete(timeout=60.0)
+                await root.wait_complete(timeout=60.0)
+            finally:
+                for wkr in fleet:
+                    await wkr.stop()
+                await root.stop()
+            return root.result(feeds=feeds)
+
+        tree = asyncio.run(_serve())
+        assert tree.slots == flat.slots
+        assert all(s.answers["main"] for s in tree.slots)
+        assert dashboard.values_seen == HORIZON
+        assert tree.dashboards["main"].answers() == flat.dashboards["main"].answers()
+        assert tree_sink.of_type("slot") == flat_sink.of_type("slot")
+        types = [record["type"] for record in tree_sink.records]
+        assert types[0] == "run_started" and types[-1] == "run_finished"
+        tree.assert_valid()
 
 
 class TestWorkerKillRecovery:

@@ -14,7 +14,7 @@ stream is decomposed into shard states and merged:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import RobustPolicy
@@ -82,6 +82,7 @@ class TestTrimInvariance:
         assert policy.slot_mean(merged, 0) == flat.population_mean(0)
 
     @given(values=report_arrays)
+    @example(values=np.full(3, -918052.9521276106))  # mean() rounds below the min
     @settings(max_examples=40, deadline=None)
     def test_trim_bounded_by_extremes(self, values):
         policy = RobustPolicy(kind="trim", trim=0.25)

@@ -167,6 +167,28 @@ w = [6]
 """
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of a process from ``/proc``, or None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    if not os.path.isdir("/proc"):
+        return []
+    pids = (int(entry) for entry in os.listdir("/proc") if entry.isdigit())
+    return [child for child in pids if (_proc_stat(child) or ("", -1))[1] == pid]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestSigkillDrill:
     def test_kill_minus_nine_mid_scan_resumes_bit_identically(self, tmp_path):
         """A real OS-level SIGKILL mid-scan, then ``--resume`` via the CLI.
@@ -211,6 +233,7 @@ class TestSigkillDrill:
                 time.sleep(0.005)
             else:
                 pytest.fail("scan never completed a first cell")
+            pool_workers = _children(proc.pid)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
         finally:
@@ -218,6 +241,13 @@ class TestSigkillDrill:
                 proc.kill()
                 proc.wait(timeout=30)
 
+        if os.path.isdir("/proc"):
+            # The killed scan's pool workers must exit, not linger orphaned.
+            assert pool_workers
+            deadline = time.monotonic() + 15.0
+            while any(map(_alive, pool_workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pool_workers if _alive(pid)]
         survivors = ScanStore(store).completed_indices()
         assert survivors  # the kill landed after >= 1 completed cell
         assert len(survivors) < n_cells  # ... and before the scan finished
